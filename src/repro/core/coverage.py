@@ -77,10 +77,6 @@ def region_intersect(r1: Region, r2: Region) -> Region:
     return tuple(sorted(out))
 
 
-def region_is_full(r: Region) -> bool:
-    return r == FULL
-
-
 class Coverage(NamedTuple):
     """Estimated coverage vector plus lower/upper bounds (Eqs. 14, 22–23)."""
 

@@ -1,8 +1,9 @@
 """Recursive bin refinement — Algorithm 2 (RefineBin1D) and its 2-d
 analogue (RefineBin2D, Fig. 5).
 
-Pure numpy: these run inside Spark ``applyInPandas`` tasks during
-construction (one histogram per task) and standalone in unit tests.
+Pure numpy: construction runs them on the driver over the collected
+construction sample, every 1-d histogram first and then every pair
+(:mod:`repro.core.build`); unit tests call them directly.
 """
 from __future__ import annotations
 

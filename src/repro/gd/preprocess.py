@@ -236,12 +236,3 @@ def encode_pandas(pdf: pd.DataFrame, infos: list[ColumnInfo]) -> pd.DataFrame:
     """Driver-side equivalent of :func:`encode` — float64 with NaN nulls.
     Used to feed the baselines the same domain PairwiseHist sees."""
     return pd.DataFrame({info.name: info.encode_series(pdf[info.name]) for info in infos})
-
-
-def spark_timestamp_to_seconds(df: DataFrame) -> DataFrame:
-    """Cast timestamp columns to double epoch-seconds (used before encode
-    when a job wants a fully numeric frame)."""
-    for f in df.schema.fields:
-        if isinstance(f.dataType, (T.TimestampType, T.DateType)):
-            df = df.withColumn(f.name, F.col(f.name).cast("double"))
-    return df

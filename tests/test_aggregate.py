@@ -131,6 +131,29 @@ class TestMinMax:
         est = _run(toy_ph, "MIN", 0, wt.ECond(1, cov.EMPTY))
         assert est.est is None and est.lo is None
 
+    def test_max_lower_bound_reaches_bin_zero(self):
+        """Bin 0 is a valid index: when it is the first bin that may hold
+        qualifying rows, MAX's lower bound must come from it, not from the
+        estimate bin."""
+        from repro.core.model import Hist1D
+
+        h = Hist1D(
+            edges=np.array([0.0, 10.0, 20.0, 30.0]),
+            counts=np.array([10, 10, 10]),
+            vmin=np.array([1.0, 11.0, 21.0]),
+            vmax=np.array([9.0, 19.0, 29.0]),
+            uniq=np.array([5, 5, 5]),
+        )
+        w = wt.Weighting(
+            est=np.array([0.0, 0.0, 5.0]),
+            lo=np.array([0.0, 0.0, 0.2]),
+            hi=np.array([3.0, 0.0, 8.0]),
+        )
+        est = aggregate("MAX", w, h, rho=1.0, M=8, alpha=0.001)
+        assert est.est == 29.0
+        assert est.lo == 1.0
+        assert est.hi == 29.0
+
 
 class TestDegenerate:
     def test_avg_empty_none(self, toy_ph):

@@ -3,8 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.build import build_synopsis, default_min_points
+from repro.core.build import build_local, build_synopsis, default_min_points
 from repro.core.model import map_fine_to_coarse
+from repro.core.storage import serialize
+from repro.gd import greedygd
+from repro.gd.preprocess import encode_pandas
 
 
 class TestDefaultM:
@@ -111,3 +114,39 @@ class TestBuildVariants:
         sdf, _ = small_df
         res = build_synopsis(sdf, n_sample=4000)
         assert res.ph.hists1d[0].k > 4
+
+
+class TestEntryPointParity:
+    """At rho = 1 the Spark front end and the in-process build see the same
+    rows and the same initial ranges, so they must agree byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def int_frame(self, spark):
+        rng = np.random.default_rng(11)
+        n = 3000
+        pdf = pd.DataFrame(
+            {
+                "a": rng.integers(3, 60, n),
+                "b": rng.integers(0, 20, n) * 5,
+                "c": rng.choice([1, 2, 4, 8], n, p=[0.5, 0.25, 0.15, 0.1]),
+            }
+        )
+        return spark.createDataFrame(pdf), pdf
+
+    def test_full_sample_matches_build_local(self, int_frame):
+        sdf, pdf = int_frame
+        res = build_synopsis(sdf, n_sample=len(pdf) + 100, seed=5)
+        assert res.ph.n_sample == res.ph.n_rows == len(pdf)
+        enc = encode_pandas(pdf, res.infos)
+        seeds = greedygd.base_edges(enc, res.gd_plan)
+        # Too few bases for build_synopsis's 10 * max_edges cut to apply.
+        assert max(len(v) for v in seeds.values()) < 10 * len(pdf) // res.ph.M
+        local = build_local(enc, seeds=seeds)
+        assert serialize(res.ph) == serialize(local)
+
+    def test_spark_edges_cover_encoded_range(self, int_frame):
+        sdf, pdf = int_frame
+        res = build_synopsis(sdf, n_sample=len(pdf), seed=5)
+        for h, info in zip(res.ph.hists1d, res.infos):
+            assert h.edges[0] == 0.0
+            assert h.edges[-1] >= info.encoded_max
